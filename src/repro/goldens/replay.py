@@ -14,7 +14,7 @@ end-of-run byte-diff gives.
 A replay that matches event-for-event additionally re-runs the fused
 Monte-Carlo fast loop (:func:`~repro.sim.executor.execute_once`) and
 checks its outcome against the golden's ``result`` record — the guard
-that keeps a future compiled kernel honest even where the traced
+that keeps the untraced fused loop honest even where the traced
 reference loop did not change.
 """
 

@@ -49,8 +49,7 @@ worker → coordinator          ``("hello", pid)``,
                               ``("result", epoch, index,
                               CellAccumulator, seconds)`` (the trailing
                               compute-seconds float feeds adaptive
-                              claim sizing; 4-tuples from older workers
-                              are accepted),
+                              claim sizing),
                               ``("error", epoch, index, text)``,
                               ``("pong",)``
 ===========================  =========================================
@@ -811,11 +810,7 @@ class Coordinator:
                     message = _recv_msg(sock)
                     kind = message[0]
                     if kind == "result":
-                        # 5-tuple since the adaptive-dispatch protocol
-                        # (trailing compute seconds); 4-tuple accepted
-                        # for older workers.
-                        _, ep, index, accumulator = message[:4]
-                        seconds = message[4] if len(message) > 4 else None
+                        _, ep, index, accumulator, seconds = message
                         self._record(link, ep, index, accumulator, seconds)
                         remaining.discard(index)
                     elif kind == "error":
@@ -823,8 +818,10 @@ class Coordinator:
                         self._record_error(link, ep, index, text)
                         remaining.discard(index)
         except (ConnectionError, OSError, EOFError, socket.timeout,
-                pickle.PickleError, struct.error):
-            pass  # broken link: _drop_link requeues whatever it held
+                pickle.PickleError, struct.error, ValueError):
+            # Broken link or malformed frame: _drop_link requeues
+            # whatever it held.
+            pass
         finally:
             self._drop_link(link)
             _close_socket(sock)
@@ -908,8 +905,8 @@ class Coordinator:
         """Resolve a task exactly once; stale or duplicate results drop.
 
         ``seconds`` is the worker-measured compute time of the block
-        (None for local recomputes and pre-adaptive workers); it feeds
-        the latency EWMA behind adaptive claim sizing.
+        (None for local recomputes); it feeds the latency EWMA behind
+        adaptive claim sizing.
         """
         with self._cond:
             if link is not None:

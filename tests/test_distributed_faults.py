@@ -678,3 +678,75 @@ class TestSpeculativeDuplicates:
             ours.same_values(ref)
             for ours, ref in zip(estimates, baseline)
         )
+
+
+class TestMalformedResultFrames:
+    """A result frame of the wrong shape drops the link, not the batch.
+
+    The fake worker authenticates properly, then answers each task
+    with a 4-element ``result`` frame (no compute-seconds field).  The
+    coordinator must treat that like a broken link: the link thread
+    exits cleanly (no unhandled-thread exception), ``_drop_link``
+    requeues the worker's blocks, and the coordinator's local lane
+    finishes the batch byte-identical to serial.
+    """
+
+    @staticmethod
+    def _short_frame_worker(url):
+        from repro.sim.distributed import parse_url
+
+        host, port = parse_url(url)
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            sock.settimeout(30.0)
+            _authenticate_as_worker(sock, b"")
+            _send_msg(sock, ("hello", os.getpid()))
+            while True:
+                try:
+                    message = _recv_msg(sock)
+                except (ConnectionError, OSError, EOFError):
+                    return
+                if message[0] == "ping":
+                    _send_msg(sock, ("pong",))
+                    continue
+                if message[0] != "tasks":
+                    return
+                _, epoch, batch = message
+                for index, block_task in batch:
+                    accumulator = execute_block(block_task)
+                    try:
+                        _send_msg(sock, ("result", epoch, index, accumulator))
+                    except OSError:
+                        return
+
+    def test_short_result_frame_drops_link_and_batch_completes(
+        self, monkeypatch
+    ):
+        thread_errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: thread_errors.append(args)
+        )
+        jobs = TestSpeculativeDuplicates._property_jobs()
+        tasks = plan_blocks(jobs, CHUNK)
+        coordinator = Coordinator(secret=b"", straggler_factor=None)
+        worker = threading.Thread(
+            target=self._short_frame_worker,
+            args=(coordinator.url,),
+            daemon=True,
+        )
+        try:
+            worker.start()
+            assert coordinator.wait_for_workers(1, timeout=30.0) == 1
+            estimates = _merge_through(coordinator, tasks)
+            assert coordinator.workers == 0  # the malformed link is gone
+        finally:
+            coordinator.close()
+            worker.join(timeout=10.0)
+        for thread in threading.enumerate():
+            if thread.name == "repro-coordinator-link":
+                thread.join(timeout=10.0)
+        assert not thread_errors
+        baseline = TestSpeculativeDuplicates._serial_baseline()
+        assert [cell.reps for cell in estimates] == [job.reps for job in jobs]
+        assert all(
+            ours.same_values(ref) for ours, ref in zip(estimates, baseline)
+        )
